@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
+.PHONY: all check race bench bench-delta bench-intern bench-idsets bench-ivm bench-storage bench-check bench-gates fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
 
 all: check
 
@@ -44,7 +44,7 @@ serve:
 # packages (algebra and its stream iterator layer, core) must document every
 # exported declaration. doccheck is stdlib-only (tools/doccheck).
 lint: vet
-	go run ./tools/doccheck -strict internal/semantics,internal/translate,internal/algebra,internal/algebra/stream,internal/core,internal/randgen,internal/diffcheck,internal/query,internal/server,internal/ivm,internal/storage,internal/value/intern,internal/value/idset .
+	go run ./tools/doccheck -strict internal/semantics,internal/translate,internal/algebra,internal/algebra/ref,internal/algebra/stream,internal/core,internal/randgen,internal/diffcheck,internal/query,internal/server,internal/ivm,internal/storage,internal/value/intern,internal/value/idset .
 
 # docs-fresh regenerates EXPERIMENTS.md's tables from the committed record
 # (internal/expt/recorded/run.json) and fails if the committed document was
@@ -61,7 +61,7 @@ docs-fresh:
 # under the race detector; diffcheck rides along because its clean-sweep
 # test drives every engine from parallel subtests.
 race:
-	go test -race ./internal/semantics ./internal/expt ./internal/obsv ./internal/core ./internal/algebra ./internal/algebra/stream ./internal/randgen ./internal/diffcheck ./internal/server ./internal/ivm ./internal/query ./internal/storage ./internal/value ./internal/value/intern ./internal/value/idset
+	go test -race ./internal/semantics ./internal/expt ./internal/obsv ./internal/core ./internal/algebra ./internal/algebra/ref ./internal/algebra/stream ./internal/randgen ./internal/diffcheck ./internal/server ./internal/ivm ./internal/query ./internal/storage ./internal/value ./internal/value/intern ./internal/value/idset
 
 # bench runs the full benchmark suite once per target (see also cmd/bench).
 bench:
@@ -106,23 +106,14 @@ bench-storage:
 fuzz-smoke:
 	@for t in ExprSemiNaive ExprIFPElim CoreValid CoreInflationary CoreWellFounded \
 	          DlogTheorem62 DlogTheorem43 DlogMinimal DlogStratified DlogStable \
-	          ExprIntern DlogIntern ExprStream DlogStream ExprIDSet DlogIDSet \
-	          DlogIVM DlogStorage; do \
+	          ExprRef DlogStream ExprIDSet DlogIDSet DlogIVM DlogStorage; do \
 		go test ./internal/diffcheck -run '^$$' -fuzz "^Fuzz$$t\$$" -fuzztime 10s || exit 1; \
 	done
 
 # bench-intern measures the interning layer alone: the interner's hit/miss
-# and membership micro-benchmarks plus the P8 macro A/B (interning on vs the
-# -nointern string-keyed baseline).
+# and membership micro-benchmarks.
 bench-intern:
 	go test ./internal/value/intern -run XXX -bench . -benchmem
-	go run ./cmd/bench -only P8
-
-# bench-stream measures the streaming execution runtime alone: the P9 macro
-# A/B (lazy pushdown/hash-join pipelines vs the -nostreaming materialized
-# baseline, per-call Budget switch).
-bench-stream:
-	go run ./cmd/bench -only P9
 
 # bench-idsets measures the ID-native delta fixpoint kernels alone: the P10
 # macro A/B (sorted-ID galloping kernels + per-fixpoint join index vs the

@@ -128,20 +128,6 @@ func BenchmarkP7PlanCache(b *testing.B) {
 	runSuite(b, func() (*expt.Table, error) { return expt.RunP7([]int{1500}) })
 }
 
-// BenchmarkP8Interning runs the interning A/B at one size; the acceptance
-// bar for the hash-consed representation is the intern column beating the
-// -nointern baseline by >= 2x on the Datalog chain-closure workload.
-func BenchmarkP8Interning(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP8([]int{256}) })
-}
-
-// BenchmarkP9Streaming runs the streaming-runtime A/B at one size; the
-// acceptance bar for the pipeline runtime is the streaming column beating
-// the -nostreaming baseline by >= 1.5x on the product-select workload.
-func BenchmarkP9Streaming(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP9([]int{256}) })
-}
-
 // BenchmarkP10IDSets runs the ID-native kernel A/B at one size; the
 // acceptance bar for the kernels is the idsets column beating the -noidsets
 // baseline by >= 2x on the IFP chain-closure workload (gated in CI by

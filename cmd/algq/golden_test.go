@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
-	"algrec/internal/value"
 )
 
 // goldenCases are the committed example workloads whose stdout is pinned
@@ -49,25 +48,6 @@ func runGolden(t *testing.T) {
 // workloads: the shared pipeline extraction (internal/query) must not change
 // a single byte of output.
 func TestGolden(t *testing.T) { runGolden(t) }
-
-// TestGoldenNoIntern replays the same golden cases with hash-consed
-// interning disabled (the cmd/bench -nointern ablation): the string-keyed
-// representation must reproduce every byte of output.
-func TestGoldenNoIntern(t *testing.T) {
-	was := value.SetInterning(false)
-	defer value.SetInterning(was)
-	runGolden(t)
-}
-
-// TestGoldenNoStreaming replays the same golden cases with the streaming
-// execution runtime disabled (the cmd/bench -nostreaming ablation): full
-// operator-by-operator materialization must reproduce every byte of output.
-func TestGoldenNoStreaming(t *testing.T) {
-	was := algebra.DefaultBudget.NoStreaming
-	algebra.DefaultBudget.NoStreaming = true
-	defer func() { algebra.DefaultBudget.NoStreaming = was }()
-	runGolden(t)
-}
 
 // TestGoldenNoIDSets replays the same golden cases with the ID-native delta
 // fixpoint kernels disabled (the cmd/bench -noidsets ablation): the

@@ -36,6 +36,29 @@ import (
 	"algrec/internal/server"
 )
 
+// The server's connection timeouts. ReadHeaderTimeout bounds how long a
+// client may take to send its request headers, so a stalled or slow-drip
+// client cannot pin a connection. IdleTimeout bounds the gap between
+// requests on a keep-alive connection; it only runs while no request is in
+// flight, so it cannot end an active ndjson or SSE subscription stream. For
+// the same reason no ReadTimeout or WriteTimeout is set: either would cut
+// off subscriptions that stream for the life of the connection, and query
+// execution is already bounded by the per-request -timeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listening server with the connection timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "algrecd:", err)
@@ -115,7 +138,7 @@ func run(args []string) error {
 	// stable searches) to the server's /metrics counters too.
 	obsv.SetDefault(srv.Collector())
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("algrecd listening on %s", *addr)

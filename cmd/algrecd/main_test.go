@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,5 +40,24 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	err := run([]string{"-db", "g=" + bad})
 	if err == nil || !strings.Contains(err.Error(), "rel statements") {
 		t.Errorf("a program is not a database: %v", err)
+	}
+}
+
+func TestHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	hs := newHTTPServer("127.0.0.1:0", h)
+	if hs.Addr != "127.0.0.1:0" || hs.Handler != h {
+		t.Fatalf("addr %q handler %v", hs.Addr, hs.Handler)
+	}
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	// Subscriptions stream for the life of the connection: no whole-request
+	// read or write deadline may cut them off.
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want both unset", hs.ReadTimeout, hs.WriteTimeout)
 	}
 }

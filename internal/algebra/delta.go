@@ -91,8 +91,8 @@ func DeltaDistributive(e Expr, name string) bool {
 //
 // With useDelta (the caller verified DeltaDistributive on the body),
 // varName is bound to the per-round delta instead of the whole accumulator;
-// results are identical, and the σ(×) hash equi-join fast path inside step
-// then probes only delta-sized inputs. The budget must already have defaults
+// results are identical, and the streaming hash joins inside step then
+// probe only delta-sized inputs. The budget must already have defaults
 // applied. obs, when non-nil, receives one IFPStats event for the completed
 // fixpoint.
 func RunIFP(varName string, outer map[string]value.Set, budget Budget, useDelta bool, obs obsv.Collector, step func(local map[string]value.Set) (value.Set, error)) (value.Set, error) {

@@ -16,8 +16,9 @@ type Budget struct {
 	MaxIFPIters int // maximum iterations of any single IFP (0 = default)
 	MaxSetSize  int // maximum cardinality of any intermediate set (0 = default)
 	MaxDepth    int // maximum Call nesting depth (0 = default)
-	// NoHashJoin disables the σ(×) hash equi-join fast path (see join.go);
-	// used by the A3 ablation benchmark.
+	// NoHashJoin disables the streaming planner's hash equi-join steps (see
+	// planner.go), leaving pushdown and the streaming cross product; used by
+	// the A3 ablation benchmark.
 	NoHashJoin bool
 	// NoSemiNaive disables the semi-naive delta fixpoint engine (see
 	// delta.go): every IFP iterates naively, and internal/core falls back to
@@ -26,22 +27,12 @@ type Budget struct {
 	// WithDefaults ORs in DefaultBudget.NoSemiNaive, so cmd/bench
 	// -noseminaive can disable the engine process-wide.
 	NoSemiNaive bool
-	// NoStreaming disables the streaming execution runtime (see
-	// streameval.go): σ/MAP pipelines over products are fully materialized
-	// operator by operator instead of planned into lazy hash-join iterators.
-	// Results are identical either way on error-free evaluations; only
-	// budget boundaries differ (the materialized path also bounds
-	// intermediate products). WithDefaults ORs in
-	// DefaultBudget.NoStreaming, so cmd/bench -nostreaming can disable the
-	// runtime process-wide; the P9 experiment measures the cost.
-	NoStreaming bool
 	// NoIDSets disables the ID-native semi-naive fixpoint engine (see
 	// idfixpoint.go): delta rounds union/diff materialized value.Sets
 	// instead of interned-ID sets. Results are identical either way on
-	// error-free evaluations; only budget boundaries can differ, as with
-	// NoStreaming. WithDefaults ORs in DefaultBudget.NoIDSets, so cmd/bench
-	// -noidsets can disable the engine process-wide; the P10 experiment
-	// measures the cost. The engine also requires value.InterningEnabled.
+	// error-free evaluations; only budget boundaries can differ.
+	// WithDefaults ORs in DefaultBudget.NoIDSets, so cmd/bench -noidsets can
+	// disable the engine process-wide; the P10 experiment measures the cost.
 	NoIDSets bool
 	// NoIVM disables incremental view maintenance (internal/ivm): every
 	// ivm.View falls back to from-scratch re-evaluation on each mutation
@@ -49,8 +40,7 @@ type Budget struct {
 	// identical either way — the maintained interpretation is pinned
 	// bit-for-bit against recomputation by the dlog-ivm oracle. WithDefaults
 	// ORs in DefaultBudget.NoIVM, so cmd/bench -noivm can disable
-	// maintenance process-wide; the P11 experiment measures the cost. Like
-	// NoIDSets, the incremental engine also requires value.InterningEnabled.
+	// maintenance process-wide; the P11 experiment measures the cost.
 	NoIVM bool
 	// Interrupt, when non-nil, is polled between fixpoint rounds (never
 	// inside one): once the channel is closed, evaluation stops with an
@@ -78,7 +68,6 @@ func (b Budget) WithDefaults() Budget {
 		b.MaxDepth = DefaultBudget.MaxDepth
 	}
 	b.NoSemiNaive = b.NoSemiNaive || DefaultBudget.NoSemiNaive
-	b.NoStreaming = b.NoStreaming || DefaultBudget.NoStreaming
 	b.NoIDSets = b.NoIDSets || DefaultBudget.NoIDSets
 	b.NoIVM = b.NoIVM || DefaultBudget.NoIVM
 	return b
@@ -202,32 +191,10 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 		}
 		return l.Product(r), nil
 	case Select:
-		if !ev.Budget.NoStreaming && StreamEligible(e) {
+		if StreamEligible(e) {
 			return StreamEval(e, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
 				return ev.eval(sub, local)
 			})
-		}
-		if prod, isProd := ee.Of.(Product); isProd && !ev.Budget.NoHashJoin {
-			if lks, rks, ok := EquiJoinKeys(ee.Var, ee.Test); ok {
-				l, err := ev.eval(prod.L, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				r, err := ev.eval(prod.R, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				out, done, err := HashJoin(l, r, ee.Var, ee.Test, lks, rks, ev.Budget.MaxSetSize)
-				if err != nil {
-					return value.Set{}, err
-				}
-				if done {
-					return out, nil
-				}
-				// a key path failed to apply: fall through to the naive
-				// product so kind errors surface exactly as without the
-				// fast path
-			}
 		}
 		of, err := ev.eval(ee.Of, local)
 		if err != nil {
@@ -237,7 +204,7 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 			return EvalTest(ee.Test, FEnv{ee.Var: v})
 		})
 	case Map:
-		if !ev.Budget.NoStreaming && StreamEligible(e) {
+		if StreamEligible(e) {
 			return StreamEval(e, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
 				return ev.eval(sub, local)
 			})
@@ -251,7 +218,7 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 		})
 	case IFP:
 		useDelta := !ev.Budget.NoSemiNaive && DeltaDistributive(ee.Body, ee.Var)
-		if useDelta && !ev.Budget.NoIDSets && value.InterningEnabled() {
+		if useDelta && !ev.Budget.NoIDSets {
 			out, ok, err := RunIFPIDSets(ee.Var, ev.Budget, ev.obs, ee.Body, func(sub Expr) (value.Set, error) {
 				return ev.eval(sub, local)
 			})

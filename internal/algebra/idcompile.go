@@ -155,8 +155,9 @@ func (c *idCompiler) compileJoin(prod Product, v string, test FExpr, outs []proj
 	}
 }
 
-// allEquiKeys is the strict variant of EquiJoinKeys: it succeeds only when
-// EVERY conjunct of the test is a side1-path = side2-path equality. Such a
+// allEquiKeys extracts the join key paths of a selection test over product
+// elements (bound to var v). It is strict: it succeeds only when EVERY
+// conjunct of the test is a side1-path = side2-path equality. Such a
 // test is completely decided by join-key equality and, where the key paths
 // apply, cannot error (Compare is total), so the ID join needs no re-check.
 func allEquiKeys(v string, test FExpr) (lks, rks []KeyPath, ok bool) {
@@ -193,6 +194,34 @@ func allEquiKeys(v string, test FExpr) (lks, rks []KeyPath, ok bool) {
 		}
 	}
 	return lks, rks, len(lks) > 0
+}
+
+// sidePath decomposes a field-projection chain rooted at the product
+// element variable: p.side.i1.i2...  →  (side, [i1, i2, ...], true).
+func sidePath(e FExpr, v string) (side int, path KeyPath, ok bool) {
+	var rev []int
+	for {
+		switch ee := e.(type) {
+		case FField:
+			rev = append(rev, ee.Idx)
+			e = ee.Of
+		case FVar:
+			if ee.Name != v || len(rev) == 0 {
+				return 0, nil, false
+			}
+			side = rev[len(rev)-1]
+			if side != 1 && side != 2 {
+				return 0, nil, false
+			}
+			path = make(KeyPath, 0, len(rev)-1)
+			for i := len(rev) - 2; i >= 0; i-- {
+				path = append(path, rev[i])
+			}
+			return side, path, true
+		default:
+			return 0, nil, false
+		}
+	}
 }
 
 // projSpecs decomposes a MAP body over join pairs into per-side projection
@@ -245,8 +274,7 @@ func varPath(e FExpr, v string) (KeyPath, bool) {
 // or the engine aborted to preserve equivalence; the caller then runs the
 // value-space RunIFP. When ok is true the result (or the round-aligned
 // budget/interrupt error) is exactly what RunIFP would produce. The caller
-// has already checked DeltaDistributive, Budget.NoIDSets and
-// value.InterningEnabled.
+// has already checked DeltaDistributive and Budget.NoIDSets.
 func RunIFPIDSets(varName string, budget Budget, obs obsv.Collector, body Expr, leaf LeafEval) (value.Set, bool, error) {
 	in := intern.Global()
 	c := &idCompiler{in: in, varName: varName, leaf: leaf}

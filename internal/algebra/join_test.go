@@ -1,142 +1,63 @@
 package algebra
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"algrec/internal/value"
 )
 
+// TestEquiJoinKeys pins which conjuncts of a σ-over-product test the
+// planner turns into hash-join edges: cross-leaf equalities of pure
+// projection chains, in either orientation, alongside pushed single-leaf
+// conjuncts — and nothing else.
 func TestEquiJoinKeys(t *testing.T) {
-	p := FVar{Name: "p"}
-	f := func(side int, idxs ...int) FExpr {
-		e := FExpr(FField{Of: p, Idx: side})
-		for _, i := range idxs {
-			e = FField{Of: e, Idx: i}
+	prod := Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}}
+	plan := func(test FExpr, noHash bool) *joinPlan {
+		t.Helper()
+		p, ok := planJoin("p", test, prod, noHash)
+		if !ok {
+			t.Fatalf("planJoin refused a two-leaf join on %s", test)
 		}
-		return e
+		return p
 	}
 	// p.1.2 = p.2.1
-	test := FCmp{Op: OpEq, L: f(1, 2), R: f(2, 1)}
-	lks, rks, ok := EquiJoinKeys("p", test)
-	if !ok || len(lks) != 1 || len(rks) != 1 {
-		t.Fatalf("keys = %v %v %v", lks, rks, ok)
+	test := FCmp{Op: OpEq, L: fld("p", 1, 2), R: fld("p", 2, 1)}
+	edges := plan(test, false).edges
+	if len(edges) != 1 {
+		t.Fatalf("edges = %v, want one", edges)
 	}
-	if lks[0][0] != 2 || rks[0][0] != 1 {
-		t.Errorf("paths = %v %v", lks, rks)
+	if e := edges[0]; e.a.leaf != 0 || e.a.path[0] != 2 || e.b.leaf != 1 || e.b.path[0] != 1 {
+		t.Errorf("edge = %+v, want leaf 0 path [2] = leaf 1 path [1]", e)
 	}
-	// swapped sides
-	if _, _, ok := EquiJoinKeys("p", FCmp{Op: OpEq, L: f(2, 1), R: f(1, 2)}); !ok {
-		t.Error("swapped sides not detected")
+	// swapped sides normalize to the same edge
+	swapped := plan(FCmp{Op: OpEq, L: fld("p", 2, 1), R: fld("p", 1, 2)}, false).edges
+	if len(swapped) != 1 || swapped[0].a.leaf != 0 || swapped[0].a.path[0] != 2 {
+		t.Errorf("swapped sides: edges = %v", swapped)
 	}
-	// conjunction with extra conditions
-	and := FAnd{L: test, R: FCmp{Op: OpLt, L: f(1, 1), R: FConst{V: value.Int(5)}}}
-	if lks, _, ok := EquiJoinKeys("p", and); !ok || len(lks) != 1 {
-		t.Error("conjunct extraction failed")
+	// conjunction with an extra single-leaf condition: one edge, one pushed filter
+	and := FAnd{L: test, R: FCmp{Op: OpLt, L: fld("p", 1, 1), R: FConst{V: value.Int(5)}}}
+	if p := plan(and, false); len(p.edges) != 1 || len(p.leaves[0].filters) != 1 {
+		t.Errorf("conjunct extraction: %d edges, %d pushed filters", len(p.edges), len(p.leaves[0].filters))
 	}
 	// two equi conjuncts
-	and2 := FAnd{L: test, R: FCmp{Op: OpEq, L: f(1, 1), R: f(2, 2)}}
-	if lks, rks, ok := EquiJoinKeys("p", and2); !ok || len(lks) != 2 || len(rks) != 2 {
-		t.Error("multi-key extraction failed")
+	and2 := FAnd{L: test, R: FCmp{Op: OpEq, L: fld("p", 1, 1), R: fld("p", 2, 2)}}
+	if edges := plan(and2, false).edges; len(edges) != 2 {
+		t.Errorf("multi-key extraction: edges = %v", edges)
 	}
-	// no equi conjunct
+	// NoHashJoin plans no edges
+	if edges := plan(test, true).edges; len(edges) != 0 {
+		t.Errorf("noHash: edges = %v", edges)
+	}
+	// no equi-join conjunct
 	for _, bad := range []FExpr{
-		FCmp{Op: OpNe, L: f(1, 1), R: f(2, 1)},
-		FCmp{Op: OpEq, L: f(1, 1), R: f(1, 2)}, // same side
-		FCmp{Op: OpEq, L: f(1, 1), R: FConst{V: value.Int(3)}},
+		FCmp{Op: OpNe, L: fld("p", 1, 1), R: fld("p", 2, 1)},
+		FCmp{Op: OpEq, L: fld("p", 1, 1), R: fld("p", 1, 2)}, // same side
+		FCmp{Op: OpEq, L: fld("p", 1, 1), R: FConst{V: value.Int(3)}},
 		FConst{V: value.True},
-		FCmp{Op: OpEq, L: FVar{Name: "other"}, R: f(2, 1)},
+		FCmp{Op: OpEq, L: FVar{Name: "other"}, R: fld("p", 2, 1)},
 	} {
-		if _, _, ok := EquiJoinKeys("p", bad); ok {
-			t.Errorf("false positive on %s", bad)
+		if edges := plan(bad, false).edges; len(edges) != 0 {
+			t.Errorf("false positive on %s: edges = %v", bad, edges)
 		}
-	}
-}
-
-// TestHashJoinEqualsNaive: the fast path must compute exactly the naive
-// σ(×) result on random tuple relations.
-func TestHashJoinEqualsNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		mkRel := func(n int) value.Set {
-			elems := make([]value.Value, n)
-			for i := range elems {
-				elems[i] = value.Pair(value.Int(int64(r.Intn(5))), value.Int(int64(r.Intn(5))))
-			}
-			return value.NewSet(elems...)
-		}
-		db := DB{"l": mkRel(r.Intn(12)), "r": mkRel(r.Intn(12))}
-		p := FVar{Name: "p"}
-		test := FAnd{
-			L: FCmp{Op: OpEq,
-				L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
-				R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
-			R: FCmp{Op: OpLe,
-				L: FField{Of: FField{Of: p, Idx: 1}, Idx: 1},
-				R: FConst{V: value.Int(3)}},
-		}
-		e := Select{Of: Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}}, Var: "p", Test: test}
-		fast, err := NewEvaluator(db, Budget{}).Eval(e)
-		if err != nil {
-			return false
-		}
-		slow, err := NewEvaluator(db, Budget{NoHashJoin: true}).Eval(e)
-		if err != nil {
-			return false
-		}
-		return value.Equal(fast, slow)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestHashJoinFallback: elements where a key path does not apply force the
-// naive path, so kind errors surface exactly as before.
-func TestHashJoinFallback(t *testing.T) {
-	// l contains a non-tuple: the key path .2 cannot apply, so evaluation
-	// falls back to the naive product, whose test errors on projection.
-	db := DB{
-		"l": value.NewSet(value.Int(7)),
-		"r": value.NewSet(value.Pair(value.Int(1), value.Int(2))),
-	}
-	p := FVar{Name: "p"}
-	e := Select{
-		Of:  Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}},
-		Var: "p",
-		Test: FCmp{Op: OpEq,
-			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
-			R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
-	}
-	_, errFast := NewEvaluator(db, Budget{}).Eval(e)
-	_, errSlow := NewEvaluator(db, Budget{NoHashJoin: true}).Eval(e)
-	if (errFast == nil) != (errSlow == nil) {
-		t.Errorf("error behaviour diverged: fast=%v slow=%v", errFast, errSlow)
-	}
-}
-
-func TestHashJoinTCEquivalence(t *testing.T) {
-	// End to end: the TC IFP expression evaluates identically with and
-	// without the fast path.
-	elems := make([]value.Value, 0, 20)
-	for i := 0; i < 20; i++ {
-		elems = append(elems, value.Pair(value.Int(int64(i)), value.Int(int64(i+1))))
-	}
-	db := DB{"move": value.NewSet(elems...)}
-	e := tcExpr("move")
-	fast, err := NewEvaluator(db, Budget{}).Eval(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := NewEvaluator(db, Budget{NoHashJoin: true}).Eval(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !value.Equal(fast, slow) {
-		t.Errorf("fast %d elems vs slow %d elems", fast.Len(), slow.Len())
-	}
-	if fast.Len() != 20*21/2 {
-		t.Errorf("|tc| = %d, want 210", fast.Len())
 	}
 }

@@ -16,8 +16,7 @@ import (
 //   - flattens the product tree into leaves,
 //   - splits the test into conjuncts, pushes single-leaf conjuncts into the
 //     leaf scans, and turns leaf-to-leaf equality conjuncts into hash-join
-//     edges (keyed by interned IDs when interning is on, reusing the PR 6
-//     fast path),
+//     edges (keyed by the interned IDs of the key projections),
 //   - orders the leaves greedily by estimated cardinality (exact leaf sizes
 //     × selectivity defaults — see docs/planner.md for the model),
 //   - and re-checks the complete original test on every reconstructed
@@ -425,4 +424,3 @@ func reconstruct(n *prodNode, row []value.Value) value.Value {
 	}
 	return value.Pair(reconstruct(n.l, row), reconstruct(n.r, row))
 }
-

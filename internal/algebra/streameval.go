@@ -21,15 +21,17 @@ import (
 // one runtime: the spine operators are polarity-transparent, so the host
 // closes polarity (and local IFP bindings) into its LeafEval.
 //
-// Results are identical to the materialized path on error-free evaluations:
-// the pipeline only ever prunes product pairs via pushed conjuncts and join
-// keys, both of which are implied by the complete test, and the complete
-// test is re-checked on every reconstructed element. Budget boundaries
-// differ by design — the materialized path rejects a huge intermediate
-// product even when the output is small; the streaming path bounds only
-// buffered output — so a budget error on one path may be a success on the
-// other. Budget.NoStreaming (the cmd/bench -nostreaming ablation) restores
-// the materialized path bit-for-bit.
+// Wherever the naive σ-over-materialized-× evaluation (the
+// internal/algebra/ref reference evaluator) succeeds, the pipeline computes
+// the same set: it only ever prunes product pairs via pushed conjuncts and
+// join keys, both of which are implied by the complete test, and the
+// complete test is re-checked on every reconstructed element. Pruning also
+// means a hash join never tests pairs whose keys differ, so it may succeed
+// where the naive evaluation errors on such a pair. Budget boundaries differ
+// by design — the reference rejects a product larger than MaxSetSize even
+// when the selected output is small; the streaming path bounds only
+// buffered output — so a budget error on one side may be a success on the
+// other.
 
 // LeafEval evaluates a subexpression the streaming compiler treats as an
 // opaque leaf. The host evaluator closes its environment (database, local
@@ -273,45 +275,27 @@ func (c *streamCompiler) compileJoin(v string, test FExpr, prod Product) (stream
 	return it, true, nil
 }
 
-// hashIndex buckets one leaf's elements by their composite join key. The
-// key representation — interned ID or canonical string, exactly the
-// encodings of join.go — is fixed at build time so a concurrent flip of the
-// process-wide interning switch cannot split build and probe across
-// representations. Elements whose key fails to apply (a kind or arity
+// hashIndex buckets one leaf's elements by the interned ID of their
+// composite join key. Elements whose key fails to apply (a kind or arity
 // mismatch) land in the loose bucket and join every probe, deferring the
 // error or mismatch to the complete-test re-check.
 type hashIndex struct {
-	interned bool
-	byID     map[intern.ID][]value.Value
-	byStr    map[string][]value.Value
-	loose    []value.Value
+	byID  map[intern.ID][]value.Value
+	loose []value.Value
 }
 
 // buildIndex hashes elems on the composite key paths.
 func buildIndex(elems []value.Value, keys []KeyPath) *hashIndex {
-	idx := &hashIndex{interned: value.InterningEnabled()}
-	if idx.interned {
-		idx.byID = make(map[intern.ID][]value.Value, len(elems))
-		in := intern.Global()
-		var buf []intern.ID
-		for _, e := range elems {
-			id, ok := joinKeyID(in, e, keys, &buf)
-			if !ok {
-				idx.loose = append(idx.loose, e)
-				continue
-			}
-			idx.byID[id] = append(idx.byID[id], e)
-		}
-		return idx
-	}
-	idx.byStr = make(map[string][]value.Value, len(elems))
+	idx := &hashIndex{byID: make(map[intern.ID][]value.Value, len(elems))}
+	in := intern.Global()
+	var buf []intern.ID
 	for _, e := range elems {
-		k, ok := joinKey(e, keys)
+		id, ok := joinKeyID(in, e, keys, &buf)
 		if !ok {
 			idx.loose = append(idx.loose, e)
 			continue
 		}
-		idx.byStr[k] = append(idx.byStr[k], e)
+		idx.byID[id] = append(idx.byID[id], e)
 	}
 	return idx
 }
@@ -330,30 +314,19 @@ func (idx *hashIndex) probe(row []value.Value, keys []leafPath, parts *[]value.V
 		ps = append(ps, v)
 	}
 	*parts = ps
-	var bucket []value.Value
-	if idx.interned {
-		in := intern.Global()
-		var id intern.ID
-		if len(ps) == 1 {
-			id = in.Intern(ps[0])
-		} else {
-			is := (*ids)[:0]
-			for _, v := range ps {
-				is = append(is, in.Intern(v))
-			}
-			*ids = is
-			id = in.InternTuple(is...)
-		}
-		bucket = idx.byID[id]
+	in := intern.Global()
+	var id intern.ID
+	if len(ps) == 1 {
+		id = in.Intern(ps[0])
 	} else {
-		var key string
-		if len(ps) == 1 {
-			key = ps[0].String()
-		} else {
-			key = value.NewTuple(ps...).String()
+		is := (*ids)[:0]
+		for _, v := range ps {
+			is = append(is, in.Intern(v))
 		}
-		bucket = idx.byStr[key]
+		*ids = is
+		id = in.InternTuple(is...)
 	}
+	bucket := idx.byID[id]
 	if len(idx.loose) == 0 {
 		return bucket, true
 	}

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -150,105 +149,6 @@ func TestPlanJoinRefusesWideTowers(t *testing.T) {
 	}
 }
 
-// assertStreamEq evaluates e with the streaming runtime on and off and
-// demands identical outcomes.
-func assertStreamEq(t *testing.T, e Expr, db DB) {
-	t.Helper()
-	st, errSt := NewEvaluator(db, Budget{}).Eval(e)
-	mat, errMat := NewEvaluator(db, Budget{NoStreaming: true}).Eval(e)
-	if (errSt == nil) != (errMat == nil) {
-		t.Fatalf("error divergence: streaming %v, materialized %v", errSt, errMat)
-	}
-	if errSt == nil && !value.Equal(st, mat) {
-		t.Fatalf("result divergence:\n  streaming:    %v\n  materialized: %v", st, mat)
-	}
-}
-
-func TestStreamingMatchesMaterialized(t *testing.T) {
-	db := DB{"A": rangeSet(10), "B": rangeSet(7), "E": chainSet(8)}
-	prod := Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}}
-	cases := []Expr{
-		equiSelect(),
-		tcPipelineExpr(),
-		// no usable key: pure streamed cross with a re-checked range test
-		Select{Of: prod, Var: "p", Test: FCmp{Op: OpLt, L: fld("p", 1), R: fld("p", 2)}},
-		// σ over a union of a product and a pair relation
-		Select{Of: Union{L: prod, R: Rel{Name: "E"}}, Var: "p",
-			Test: FCmp{Op: OpGe, L: fld("p", 2), R: fld("p", 1)}},
-		// MAP directly over a product
-		Map{Of: prod, Var: "p",
-			Out: FArith{Op: OpPlus, L: fld("p", 1), R: fld("p", 2)}},
-		// empty side
-		Select{Of: Product{L: Rel{Name: "A"}, R: Lit{Set: value.Set{}}}, Var: "p",
-			Test: FCmp{Op: OpEq, L: fld("p", 1), R: fld("p", 2)}},
-		// three-leaf nested product with two keys
-		Select{
-			Of:  Product{L: Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}}, R: Rel{Name: "A"}},
-			Var: "p",
-			Test: FAnd{
-				L: FCmp{Op: OpEq, L: fld("p", 1, 1), R: fld("p", 2)},
-				R: FCmp{Op: OpEq, L: fld("p", 1, 2), R: fld("p", 2)},
-			},
-		},
-	}
-	for _, e := range cases {
-		assertStreamEq(t, e, db)
-	}
-}
-
-// TestStreamingMatchesMaterializedOnErrors pins the error-deferral policy:
-// a pushed conjunct that errors on a leaf element must not change which
-// error-free elements survive, and an erroring test must fail both paths.
-func TestStreamingMatchesMaterializedOnErrors(t *testing.T) {
-	// B mixes integers with a pair, so p.2 % 2 errors on the pair element.
-	b := value.NewSet(value.Int(1), value.Int(2), value.Pair(value.Int(0), value.Int(0)))
-	db := DB{"A": rangeSet(3), "B": b}
-	e := Select{
-		Of:  Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}},
-		Var: "p",
-		Test: FAnd{
-			L: parity(fld("p", 2)),
-			R: FCmp{Op: OpEq, L: fld("p", 1), R: fld("p", 2)},
-		},
-	}
-	st, errSt := NewEvaluator(db, Budget{}).Eval(e)
-	mat, errMat := NewEvaluator(db, Budget{NoStreaming: true}).Eval(e)
-	if (errSt == nil) != (errMat == nil) {
-		t.Fatalf("error divergence: streaming %v, materialized %v", errSt, errMat)
-	}
-	if errSt == nil && !value.Equal(st, mat) {
-		t.Fatalf("result divergence:\n  streaming:    %v\n  materialized: %v", st, mat)
-	}
-}
-
-// TestStreamingBudgetBoundary pins the one intended divergence class: the
-// materialized path rejects a product whose intermediate size exceeds the
-// budget even when the output is small; the streaming path bounds only the
-// collected output, so it succeeds. Both outcomes are ErrBudget-or-success,
-// which the differential oracles classify as a skip.
-func TestStreamingBudgetBoundary(t *testing.T) {
-	db := DB{"A": rangeSet(10), "B": rangeSet(10)}
-	e := Select{
-		Of:   Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}},
-		Var:  "p",
-		Test: FCmp{Op: OpLt, L: fld("p", 1), R: fld("p", 2)},
-	}
-	budget := Budget{MaxSetSize: 50}
-	st, errSt := NewEvaluator(db, budget).Eval(e)
-	if errSt != nil || st.Len() != 45 {
-		t.Fatalf("streaming: got %d elements, err %v; want 45, nil", st.Len(), errSt)
-	}
-	budget.NoStreaming = true
-	if _, errMat := NewEvaluator(db, budget).Eval(e); !errors.Is(errMat, ErrBudget) {
-		t.Fatalf("materialized: got %v, want ErrBudget (100-element product over a 50 cap)", errMat)
-	}
-	// The streamed output itself is still bounded:
-	budget = Budget{MaxSetSize: 20}
-	if _, err := NewEvaluator(db, budget).Eval(e); !errors.Is(err, ErrBudget) {
-		t.Fatalf("streaming over a 20 cap: got %v, want ErrBudget", err)
-	}
-}
-
 // streamCounters evaluates e and returns the stream.* counters it reported.
 func streamCounters(t *testing.T, e Expr, db DB) obsv.Snapshot {
 	t.Helper()
@@ -299,14 +199,9 @@ func TestStreamPushdownCounts(t *testing.T) {
 			snap["stream.tested"], snapBare["stream.tested"])
 	}
 
-	// NoStreaming reports no pipeline events at all.
-	stats := obsv.NewStats()
-	ev := NewEvaluator(db, Budget{NoStreaming: true})
-	ev.SetCollector(stats)
-	if _, err := ev.Eval(equiSelect()); err != nil {
-		t.Fatal(err)
-	}
-	if n := stats.Snapshot()["stream.pipelines"]; n != 0 {
-		t.Errorf("NoStreaming still reported %d pipelines", n)
+	// A selection over a plain relation is not a pipeline: no events.
+	plain := Select{Of: Rel{Name: "A"}, Var: "p", Test: parity(FVar{Name: "p"})}
+	if n := streamCounters(t, plain, db)["stream.pipelines"]; n != 0 {
+		t.Errorf("plain selection reported %d pipelines", n)
 	}
 }

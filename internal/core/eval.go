@@ -171,29 +171,10 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		// (σ/MAP/∪/× preserve polarity); polarity-sensitive subexpressions
 		// (Flip, defined constants) are leaves evaluated at the current
 		// polarity through the closure.
-		if !de.budget.NoStreaming && algebra.StreamEligible(e) {
+		if algebra.StreamEligible(e) {
 			return algebra.StreamEval(e, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
 				return de.eval(sub, positive, local)
 			})
-		}
-		if prod, isProd := ee.Of.(algebra.Product); isProd && !de.budget.NoHashJoin {
-			if lks, rks, ok := algebra.EquiJoinKeys(ee.Var, ee.Test); ok {
-				l, err := de.eval(prod.L, positive, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				r, err := de.eval(prod.R, positive, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				out, done, err := algebra.HashJoin(l, r, ee.Var, ee.Test, lks, rks, de.budget.MaxSetSize)
-				if err != nil {
-					return value.Set{}, err
-				}
-				if done {
-					return out, nil
-				}
-			}
 		}
 		of, err := de.eval(ee.Of, positive, local)
 		if err != nil {
@@ -203,7 +184,7 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 			return algebra.EvalTest(ee.Test, algebra.FEnv{ee.Var: v})
 		})
 	case algebra.Map:
-		if !de.budget.NoStreaming && algebra.StreamEligible(e) {
+		if algebra.StreamEligible(e) {
 			return algebra.StreamEval(e, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
 				return de.eval(sub, positive, local)
 			})
@@ -223,7 +204,7 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		// in the variable — distributivity is polarity-independent, because
 		// the variable itself is a local binding.
 		useDelta := !de.budget.NoSemiNaive && algebra.DeltaDistributive(ee.Body, ee.Var)
-		if useDelta && !de.budget.NoIDSets && value.InterningEnabled() {
+		if useDelta && !de.budget.NoIDSets {
 			// The leaf closure carries the current polarity and locals, so
 			// the compiled constants read the same pos/neg environments the
 			// value path would.

@@ -26,8 +26,7 @@
 //
 // Execution: the dual-bound evaluator shares internal/algebra's streaming
 // runtime — σ/MAP pipelines over products are planned into lazy
-// pushdown/hash-join iterators unless Budget.NoStreaming is set. Those
-// operators are polarity-transparent, so the same pipeline serves both the
+// pushdown/hash-join iterators. Those operators are polarity-transparent, so the same pipeline serves both the
 // lower- and upper-bound passes (see docs/architecture.md).
 package core
 

@@ -18,9 +18,13 @@
 //     models (plus the inflationary and valid collapses on positive
 //     programs), the three-way stratified/well-founded/valid agreement on
 //     stratifiable programs, and sequential vs parallel stable-model search;
-//   - engine ablations: the hash-consed interning switch (expr-intern,
-//     dlog-intern), the streaming pipeline runtime (expr-stream,
-//     dlog-stream) and the ID-native delta fixpoint kernels (expr-idset,
+//   - the production algebra evaluator vs the naive reference evaluator of
+//     internal/algebra/ref (expr-ref): streaming pipelines, planned hash
+//     joins and the fast fixpoint engines must compute exactly what naive
+//     σ-over-× and X ← X ∪ body(X) iteration compute — and the same for
+//     valid models of translated Datalog programs, where the three-valued
+//     core evaluator streams every rule-body join (dlog-stream);
+//   - engine ablations: the ID-native delta fixpoint kernels (expr-idset,
 //     dlog-idset) must change cost only, never results;
 //   - incremental view maintenance: replaying a random insert/delete
 //     schedule through the counting/DRed delta engine (internal/ivm) must
@@ -127,6 +131,12 @@ var Oracles = []*Oracle{
 	{Name: "expr-seminaive", Kind: KindExpr,
 		Doc:       "semi-naive delta IFP engine computes the same sets as the naive engine",
 		checkExpr: checkExprSemiNaive},
+	{Name: "expr-ref", Kind: KindExpr,
+		Doc:       "production evaluation (streaming joins, fast fixpoints) matches the naive reference evaluator",
+		checkExpr: checkExprRef},
+	{Name: "dlog-stream", Kind: KindDatalogFree,
+		Doc:          "valid models through Prop 6.1: the streaming dual evaluator matches the alternation over the naive reference evaluator",
+		checkDatalog: checkDlogStream},
 	{Name: "expr-ifp-elim", Kind: KindIFPExpr,
 		Doc:       "Theorem 3.5: eliminating IFP through the deductive pipeline preserves the value",
 		checkExpr: checkExprIFPElim},
@@ -154,18 +164,6 @@ var Oracles = []*Oracle{
 	{Name: "dlog-stable", Kind: KindDatalogFree,
 		Doc:          "stable-model search is worker-count independent",
 		checkDatalog: checkDlogStable},
-	{Name: "expr-intern", Kind: KindExpr,
-		Doc:       "hash-consed interning changes cost only: interned and string-keyed evaluation agree",
-		checkExpr: checkExprIntern},
-	{Name: "dlog-intern", Kind: KindDatalogFree,
-		Doc:          "interned grounding is bit-for-bit the string-keyed ground program, well-founded models equal",
-		checkDatalog: checkDlogIntern},
-	{Name: "expr-stream", Kind: KindExpr,
-		Doc:       "streaming pipeline runtime changes cost only: streamed and materialized evaluation agree",
-		checkExpr: checkExprStream},
-	{Name: "dlog-stream", Kind: KindDatalogFree,
-		Doc:          "valid models through Prop 6.1 agree with and without the streaming runtime",
-		checkDatalog: checkDlogStream},
 	{Name: "expr-idset", Kind: KindIFPExpr,
 		Doc:       "ID-native delta kernels change cost only: id-space and value-space fixpoints agree",
 		checkExpr: checkExprIDSet},

@@ -2,9 +2,33 @@ package diffcheck
 
 import (
 	"algrec/internal/algebra"
+	"algrec/internal/algebra/ref"
 	"algrec/internal/core"
 	"algrec/internal/translate"
 )
+
+// checkExprRef evaluates one expression with the production evaluator —
+// streaming pipelines, planned hash joins, semi-naive and ID-native
+// fixpoints — and with the naive reference evaluator (internal/algebra/ref),
+// demanding identical sets. The reference materializes every product, so it
+// may exhaust its budget where production streams; pairErr skips those.
+//
+// The error contract is one-sided: production must succeed wherever the
+// reference does, but a hash join never tests the pairs whose keys differ,
+// so it may succeed where naive σ-over-× fails on such a pair. The reference
+// is undefined there, and the instance is not compared.
+func checkExprRef(e algebra.Expr, db algebra.DB) error {
+	const oracle = "expr-ref"
+	prod, errP := algebra.NewEvaluator(db, ExprBudget).Eval(e)
+	want, errR := ref.Eval(e, db, ExprBudget)
+	if errP == nil && errR != nil {
+		return nil
+	}
+	if done, err := pairErr(oracle, "production", "reference", errP, errR); done {
+		return err
+	}
+	return diffSets(oracle, "production vs reference result", prod, want)
+}
 
 // checkExprSemiNaive runs one expression through the delta (semi-naive) IFP
 // engine and through the naive engine, demanding identical sets. This is the

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"runtime"
 
 	"algrec/internal/algebra"
 	"algrec/internal/core"
@@ -9,6 +10,12 @@ import (
 	"algrec/internal/translate"
 	"algrec/internal/value"
 )
+
+// settle runs a GC so each timed block starts from a clean heap: the two
+// modes of an A/B row allocate very differently, and without the barrier
+// each measurement inherits the previous mode's GC pacing — the dominant
+// noise source in the A/B deltas.
+func settle() { runtime.GC() }
 
 // BOMProgram returns a bill-of-materials program over a complete binary
 // containment tree of n parts rooted at part 0 — the examples/bom query at
@@ -64,8 +71,8 @@ func equalSetMaps(a, b map[string]value.Set) bool {
 func RunP10(sizes []int) (*Table, error) {
 	t := &Table{ID: "P10", Title: "ID-native delta fixpoint kernels vs value-space rounds (performance)", OK: true,
 		Header: []string{"workload", "size", "noidsets", "idsets", "speedup", "agree"}}
-	if algebra.DefaultBudget.NoIDSets || !value.InterningEnabled() {
-		t.Notes = append(t.Notes, "-noidsets or -nointern is set: the idsets column also runs the value-space baseline")
+	if algebra.DefaultBudget.NoIDSets {
+		t.Notes = append(t.Notes, "-noidsets is set: the idsets column also runs the value-space baseline")
 	}
 	t.Notes = append(t.Notes,
 		"A/B via per-call Budget.NoIDSets — no process-wide flips; timings are authoritative in serial runs",
@@ -75,7 +82,8 @@ func RunP10(sizes []int) (*Table, error) {
 	const reps = 3
 	for _, n := range sizes {
 		// Transitive closure of a chain as one algebra IFP — the kernel
-		// microbenchmark (same workload as the P8/P9 ifpTCChain rows).
+		// microbenchmark (same workload as the recorded P8/P9 ifpTCChain
+		// rows).
 		m := n / 2
 		db := FactsDB("move", ChainEdges("move", m))
 		e := TCIFPExpr("move")

@@ -55,8 +55,8 @@ func p11Schedule(n int) [][]datalog.Fact {
 func RunP11(sizes []int) (*Table, error) {
 	t := &Table{ID: "P11", Title: "Incremental view maintenance vs from-scratch recompute (performance)", OK: true,
 		Header: []string{"workload", "size", "noivm", "ivm", "speedup", "agree"}}
-	if algebra.DefaultBudget.NoIVM || !value.InterningEnabled() {
-		t.Notes = append(t.Notes, "-noivm or -nointern is set: the ivm column also runs the recompute baseline")
+	if algebra.DefaultBudget.NoIVM {
+		t.Notes = append(t.Notes, "-noivm is set: the ivm column also runs the recompute baseline")
 	}
 	t.Notes = append(t.Notes,
 		"A/B via per-view Budget.NoIVM — no process-wide flips; timings are authoritative in serial runs",

@@ -158,10 +158,8 @@ func RunP12(sizes []int) (*Table, error) {
 		// Warm the interner the way database registration does, so the
 		// direct baseline evaluates over the same hash-consed vocabulary as
 		// the served paths.
-		if value.InterningEnabled() {
-			for _, set := range db {
-				intern.Global().Intern(set)
-			}
+		for _, set := range db {
+			intern.Global().Intern(set)
 		}
 		plan, err := query.Compile(query.LangIFPAlgebra, query.SemValid, p12Query)
 		if err != nil {

@@ -77,8 +77,6 @@ func DefaultSuites(scale int) []Suite {
 		sharded("P5", []int{4, 8, 10}, RunP5),
 		sharded("P6", sz(24, 48, 96), RunP6),
 		sharded("P7", []int{1500, 3000}, RunP7),
-		sharded("P8", sz(128, 256, 384), RunP8),
-		sharded("P9", sz(128, 256, 384), RunP9),
 		sharded("P10", sz(128, 256, 384), RunP10),
 		sharded("P11", sz(128, 256, 384), RunP11),
 		sharded("P12", []int{48, 96}, RunP12),

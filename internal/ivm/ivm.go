@@ -127,7 +127,7 @@ func incrementalOK(plan *query.Plan, opts query.Options) bool {
 	if plan.Language != query.LangDatalog || plan.Program == nil {
 		return false
 	}
-	if opts.Budget.WithDefaults().NoIVM || !value.InterningEnabled() {
+	if opts.Budget.WithDefaults().NoIVM {
 		return false
 	}
 	switch plan.Semantics {

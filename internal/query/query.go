@@ -22,7 +22,7 @@
 // docs/architecture.md walks the full lifecycle — parse, translate, plan,
 // ground, fixpoint, result — through this package's Compile/Execute split,
 // including where the streaming execution runtime and the engine ablation
-// switches (-noseminaive, -nointern, -nostreaming) plug in.
+// switches (-noseminaive, -noidsets, -noivm) plug in.
 package query
 
 import (

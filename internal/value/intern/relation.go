@@ -6,7 +6,7 @@ package intern
 // bucket allocations, so inserting n rows costs O(n) words total. Row
 // indices are dense from 0 in insertion order, so a Relation doubles as an
 // append-only log of derivations — the grounder's delta passes window it by
-// row index exactly like the string-keyed store windows its atom slice.
+// row index.
 //
 // Deletion (used by the storage layer's in-memory backend, never by the
 // grounder) is by tombstone: Delete unlinks the row from the index and marks
