@@ -59,9 +59,11 @@ docs-fresh:
 # the query server's plan cache — singleflight compilation, LRU eviction
 # and graceful drain are each hammered by concurrent clients in its tests)
 # under the race detector; diffcheck rides along because its clean-sweep
-# test drives every engine from parallel subtests.
+# test drives every engine from parallel subtests. The grounder and the
+# translations that call it are here because a ground program's lazily
+# materialized atoms and keys are shared by the parallel stable search.
 race:
-	go test -race ./internal/semantics ./internal/expt ./internal/obsv ./internal/core ./internal/algebra ./internal/algebra/ref ./internal/algebra/stream ./internal/randgen ./internal/diffcheck ./internal/server ./internal/ivm ./internal/query ./internal/storage ./internal/value ./internal/value/intern ./internal/value/idset
+	go test -race ./internal/semantics ./internal/expt ./internal/obsv ./internal/core ./internal/algebra ./internal/algebra/ref ./internal/algebra/stream ./internal/randgen ./internal/diffcheck ./internal/server ./internal/ivm ./internal/query ./internal/storage ./internal/value ./internal/value/intern ./internal/value/idset ./internal/datalog/ground ./internal/translate
 
 # bench runs the full benchmark suite once per target (see also cmd/bench).
 bench:

@@ -170,24 +170,24 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 		if err != nil {
 			return value.Set{}, err
 		}
+		// A subtracted product is an anti-join: test each element of l
+		// against the factors instead of building the product.
+		if p, ok := ee.R.(Product); ok {
+			a, b, err := ev.factors(p, local)
+			if err != nil {
+				return value.Set{}, err
+			}
+			return l.DiffProduct(a, b), nil
+		}
 		r, err := ev.eval(ee.R, local)
 		if err != nil {
 			return value.Set{}, err
 		}
 		return l.Diff(r), nil
 	case Product:
-		l, err := ev.eval(ee.L, local)
+		l, r, err := ev.factors(ee, local)
 		if err != nil {
 			return value.Set{}, err
-		}
-		r, err := ev.eval(ee.R, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		// Division-based comparison: l.Len()*r.Len() can overflow int and
-		// silently skip the guard.
-		if l.Len() > 0 && r.Len() > ev.Budget.MaxSetSize/l.Len() {
-			return value.Set{}, fmt.Errorf("%w: product of %d x %d elements exceeds MaxSetSize %d", ErrBudget, l.Len(), r.Len(), ev.Budget.MaxSetSize)
 		}
 		return l.Product(r), nil
 	case Select:
@@ -255,6 +255,28 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 	default:
 		panic(fmt.Sprintf("algebra: unknown Expr %T", e))
 	}
+}
+
+// factors evaluates a product's operands and checks that the product would
+// fit MaxSetSize, whether or not the caller goes on to build it.
+func (ev *Evaluator) factors(p Product, local map[string]value.Set) (l, r value.Set, err error) {
+	if l, err = ev.eval(p.L, local); err != nil {
+		return value.Set{}, value.Set{}, err
+	}
+	if r, err = ev.eval(p.R, local); err != nil {
+		return value.Set{}, value.Set{}, err
+	}
+	return l, r, ProductFits(l, r, ev.Budget)
+}
+
+// ProductFits reports an ErrBudget error when l × r would exceed the
+// budget's MaxSetSize. The comparison divides: l.Len()*r.Len() can overflow
+// int and silently skip the guard.
+func ProductFits(l, r value.Set, b Budget) error {
+	if l.Len() > 0 && r.Len() > b.MaxSetSize/l.Len() {
+		return fmt.Errorf("%w: product of %d x %d elements exceeds MaxSetSize %d", ErrBudget, l.Len(), r.Len(), b.MaxSetSize)
+	}
+	return nil
 }
 
 func (ev *Evaluator) checkSize(s value.Set) (value.Set, error) {

@@ -146,24 +146,25 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		// Subtraction inverts membership: the subtrahend is evaluated at the
 		// opposite polarity. This is the paper's "inversion of T and F for
 		// membership" in executable form.
+		// A subtracted product is an anti-join: its factors are evaluated at
+		// the subtrahend's polarity and each element of l is tested against
+		// them, without building the product.
+		if p, ok := ee.R.(algebra.Product); ok {
+			a, b, err := de.factors(p, !positive, local)
+			if err != nil {
+				return value.Set{}, err
+			}
+			return l.DiffProduct(a, b), nil
+		}
 		r, err := de.eval(ee.R, !positive, local)
 		if err != nil {
 			return value.Set{}, err
 		}
 		return l.Diff(r), nil
 	case algebra.Product:
-		l, err := de.eval(ee.L, positive, local)
+		l, r, err := de.factors(ee, positive, local)
 		if err != nil {
 			return value.Set{}, err
-		}
-		r, err := de.eval(ee.R, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		// Division-based comparison: l.Len()*r.Len() can overflow int and
-		// silently skip the guard.
-		if l.Len() > 0 && r.Len() > de.budget.MaxSetSize/l.Len() {
-			return value.Set{}, fmt.Errorf("%w: product of %d x %d elements exceeds MaxSetSize %d", algebra.ErrBudget, l.Len(), r.Len(), de.budget.MaxSetSize)
 		}
 		return l.Product(r), nil
 	case algebra.Select:
@@ -227,6 +228,18 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 	default:
 		panic(fmt.Sprintf("core: unknown Expr %T", e))
 	}
+}
+
+// factors evaluates a product's operands at the product's polarity and
+// checks that the product would fit MaxSetSize.
+func (de *dualEvaluator) factors(p algebra.Product, positive bool, local map[string]value.Set) (l, r value.Set, err error) {
+	if l, err = de.eval(p.L, positive, local); err != nil {
+		return value.Set{}, value.Set{}, err
+	}
+	if r, err = de.eval(p.R, positive, local); err != nil {
+		return value.Set{}, value.Set{}, err
+	}
+	return l, r, algebra.ProductFits(l, r, de.budget)
 }
 
 func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {

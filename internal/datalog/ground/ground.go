@@ -54,6 +54,40 @@ func (b Budget) withDefaults() Budget {
 	return b
 }
 
+// Spend charges n atoms and n rules that never reach Ground against b: the
+// cost of n distinct facts a caller left out of the program because no rule
+// names their predicate, each of which would have been one atom and one
+// bodyless rule. It returns the caps that remain for the program, so a
+// request over budget with the facts is still over budget without them.
+// When the charge alone fills a cap it returns that cap's *BudgetError.
+// Errors Ground reports under the returned budget carry the remaining cap;
+// Refund restores b's own.
+func (b Budget) Spend(n int) (Budget, error) {
+	b = b.withDefaults()
+	if n == 0 {
+		return b, nil
+	}
+	if n >= b.MaxAtoms {
+		return b, &BudgetError{What: "atoms", Limit: b.MaxAtoms}
+	}
+	if n >= b.MaxRules {
+		return b, &BudgetError{What: "rules", Limit: b.MaxRules}
+	}
+	b.MaxAtoms -= n
+	b.MaxRules -= n
+	return b, nil
+}
+
+// Refund undoes Spend(n) on the cap a *BudgetError in err reports, so the
+// error names the caller's own limit. Other errors pass through unchanged.
+func Refund(err error, n int) error {
+	var be *BudgetError
+	if n > 0 && errors.As(err, &be) {
+		be.Limit += n
+	}
+	return err
+}
+
 // BudgetError reports that instantiation exceeded its budget.
 type BudgetError struct {
 	What  string // "atoms" or "rules"
@@ -810,6 +844,39 @@ func (g *grounder) fire(or orderedRule, bind *bindFrame, posIDs []int) error {
 	return nil
 }
 
+// isRowFact reports whether r is a bodyless rule whose arguments are all
+// constants: a fact Ground loads as a row rather than planning it as a rule.
+func isRowFact(r datalog.Rule) bool {
+	if !r.IsFact() {
+		return false
+	}
+	for _, t := range r.Head.Args {
+		if _, ok := t.(datalog.Const); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// loadFact records a ground fact: its argument-ID row interned as an atom
+// with a bodyless rule, exactly what firing it as a planned rule records.
+func (g *grounder) loadFact(a datalog.Atom) error {
+	row := g.rowBuf[:0]
+	for _, t := range a.Args {
+		row = append(row, g.in.Intern(t.(datalog.Const).V))
+	}
+	g.rowBuf = row
+	id, err := g.internRow(a.Pred, row)
+	if err != nil {
+		return err
+	}
+	if _, err := g.addRule(id, nil, nil); err != nil {
+		return err
+	}
+	g.markDerived(id, a.Pred)
+	return nil
+}
+
 // Ground instantiates the program under the given budget.
 func Ground(p *datalog.Program, budget Budget) (*Program, error) {
 	g := &grounder{
@@ -836,6 +903,9 @@ func Ground(p *datalog.Program, budget Budget) (*Program, error) {
 
 	var ordered []orderedRule
 	for _, r := range p.Rules {
+		if isRowFact(r) {
+			continue
+		}
 		plan, err := datalog.PlanRule(r)
 		if err != nil {
 			return nil, fmt.Errorf("ground: %w", err)
@@ -866,15 +936,29 @@ func Ground(p *datalog.Program, budget Budget) (*Program, error) {
 		return g.enumerate(or, 0, g.bind, &posIDs, rng, deltaIdx)
 	}
 
-	// Pass 0: rules with no positive atoms (facts included) fire once.
-	for _, or := range ordered {
-		if or.plan.NumPos > 0 {
-			continue
+	// Pass 0: rules with no positive atoms fire once, in program order;
+	// ground facts among them load as rows, with no plan per fact.
+	next := 0
+	for _, r := range p.Rules {
+		fact := isRowFact(r)
+		var or orderedRule
+		if !fact {
+			or = ordered[next]
+			next++
+			if or.plan.NumPos > 0 {
+				continue
+			}
 		}
 		if err := g.budget.stop(); err != nil {
 			return nil, err
 		}
-		if err := run(or, nil, -1); err != nil {
+		var err error
+		if fact {
+			err = g.loadFact(r.Head)
+		} else {
+			err = run(or, nil, -1)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -221,3 +221,76 @@ p(X, Y, Z) :- d(X), d(Y), d(Z).
 		t.Fatalf("expected rule BudgetError, got %v", err)
 	}
 }
+
+// TestGroundFactOrderInterleaved: ground facts load as rows in pass 0, in
+// program order with the other rules that have no positive atom, so atom
+// ids and ground-rule order follow the program exactly as when every fact
+// was planned as a rule.
+func TestGroundFactOrderInterleaved(t *testing.T) {
+	g := mustGround(t, `
+p(1).
+q(X) :- X = 2, not r(X).
+p(plus(1, 2)).
+s :- not t.
+e(a, b).
+p(1).
+w(X) :- e(X, Y).
+e(b, c).
+`)
+	wantAtoms := []string{"p(1)", "q(2)", "r(2)", "p(3)", "s()", "t()", "e(a, b)", "e(b, c)", "w(a)", "w(b)"}
+	var atoms []string
+	for id := 0; id < g.NumAtoms(); id++ {
+		atoms = append(atoms, g.AtomKey(id))
+	}
+	if strings.Join(atoms, " ") != strings.Join(wantAtoms, " ") {
+		t.Errorf("atoms by id = %v, want %v", atoms, wantAtoms)
+	}
+	wantRules := []string{"p(1)", "q(2) :- not r(2)", "p(3)", "s() :- not t()", "e(a, b)", "e(b, c)", "w(a) :- e(a, b)", "w(b) :- e(b, c)"}
+	var rules []string
+	for _, r := range g.Rules {
+		var body []string
+		for _, id := range r.Pos {
+			body = append(body, g.AtomKey(id))
+		}
+		for _, id := range r.Neg {
+			body = append(body, "not "+g.AtomKey(id))
+		}
+		s := g.AtomKey(r.Head)
+		if len(body) > 0 {
+			s += " :- " + strings.Join(body, ", ")
+		}
+		rules = append(rules, s)
+	}
+	if strings.Join(rules, "; ") != strings.Join(wantRules, "; ") {
+		t.Errorf("rules = %v, want %v", rules, wantRules)
+	}
+}
+
+// TestBudgetSpend: Spend charges facts left out of the program against both
+// caps, fails at once when the charge alone fills a cap, and Refund makes a
+// later BudgetError name the caller's own cap.
+func TestBudgetSpend(t *testing.T) {
+	b := Budget{MaxAtoms: 10, MaxRules: 20}
+	rest, err := b.Spend(4)
+	if err != nil || rest.MaxAtoms != 6 || rest.MaxRules != 16 {
+		t.Fatalf("Spend(4) = %+v, %v; want caps 6/16", rest, err)
+	}
+	var be *BudgetError
+	if _, err := b.Spend(10); !errors.As(err, &be) || be.What != "atoms" || be.Limit != 10 {
+		t.Errorf("Spend(10) err = %v, want the atoms cap 10", err)
+	}
+	if _, err := (Budget{MaxAtoms: 50, MaxRules: 5}).Spend(5); !errors.As(err, &be) || be.What != "rules" || be.Limit != 5 {
+		t.Errorf("Spend(5) under 5 rules: err = %v, want the rules cap 5", err)
+	}
+	p, err := datalog.ParseProgram("e(1). e(2). e(3). e(4). e(5). e(6). e(7).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Ground(p, rest)
+	if err = Refund(err, 4); !errors.As(err, &be) || be.What != "atoms" || be.Limit != 10 {
+		t.Errorf("7 facts beside 4 spent under 10 atoms: err = %v, want the atoms cap 10", err)
+	}
+	if err := Refund(errors.New("other"), 4); err.Error() != "other" {
+		t.Errorf("Refund changed a non-budget error: %v", err)
+	}
+}

@@ -58,8 +58,10 @@ type PredFacts struct {
 	Undef []string
 }
 
-// DatalogModel is one interpretation of a datalog program: the facts of
-// every predicate occurring in the program, sorted by predicate.
+// DatalogModel is one interpretation of a datalog program over a database:
+// the facts of every predicate occurring in the program or holding a
+// database fact, sorted by predicate. A database relation the program does
+// not name is rendered straight from the database, as true facts.
 type DatalogModel struct {
 	Preds []PredFacts
 }
@@ -233,20 +235,34 @@ func executeScript(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outc
 	}
 }
 
-// executeDatalog evaluates a datalog program under the plan's semantics,
-// appending the database's relations as facts (translate.DBFacts).
+// executeDatalog evaluates a datalog program under the plan's semantics.
+// Only the database relations the program names (as a rule head or body
+// predicate) are appended as facts (DBFacts): no rule reads the others, so
+// grounding them would only build atoms nothing derives from. They are still
+// rendered, straight from the database, and their facts still count against
+// the grounding budget as if they had been grounded.
 func executeDatalog(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outcome, error) {
 	prog := plan.Program
-	if len(db) > 0 {
+	named, unnamed := translate.SplitDB(prog, db)
+	if len(named) > 0 {
 		merged := &datalog.Program{Rules: append([]datalog.Rule{}, prog.Rules...)}
-		merged.AddFacts(DBFacts(db)...)
+		merged.AddFacts(DBFacts(named)...)
 		prog = merged
+	}
+	unread := unreadFacts(unnamed)
+	spent := 0
+	for _, pf := range unread {
+		spent += len(pf.True)
+	}
+	gb, err := opts.Ground.Spend(spent)
+	if err != nil {
+		return nil, err
 	}
 	out.IDB = prog.IDB()
 	if plan.Semantics == SemStable {
-		g, err := ground.Ground(prog, opts.Ground)
+		g, err := ground.Ground(prog, gb)
 		if err != nil {
-			return nil, err
+			return nil, ground.Refund(err, spent)
 		}
 		e := semantics.NewEngine(g)
 		e.SetInterrupt(opts.Ground.Interrupt)
@@ -255,7 +271,7 @@ func executeDatalog(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Out
 			return nil, err
 		}
 		for _, m := range models {
-			out.DatalogModels = append(out.DatalogModels, snapshotInterp(prog, m))
+			out.DatalogModels = append(out.DatalogModels, snapshotInterp(prog, m, unread))
 		}
 		return out, nil
 	}
@@ -263,11 +279,11 @@ func executeDatalog(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Out
 	if err != nil {
 		return nil, err
 	}
-	in, err := semantics.Eval(prog, sem, opts.Ground)
+	in, err := semantics.Eval(prog, sem, gb)
 	if err != nil {
-		return nil, err
+		return nil, ground.Refund(err, spent)
 	}
-	m := snapshotInterp(prog, in)
+	m := snapshotInterp(prog, in, unread)
 	out.Datalog = &m
 	for _, pf := range m.Preds {
 		if len(pf.Undef) > 0 {
@@ -300,16 +316,41 @@ func DBFacts(db algebra.DB) []datalog.Fact {
 	return out
 }
 
+// unreadFacts renders the relations Execute does not ground: per relation,
+// its distinct fact keys in the order the engines render a predicate's true
+// facts, sorted by relation name. Empty relations have no facts and are left
+// out, as a predicate with no atoms is.
+func unreadFacts(db algebra.DB) []PredFacts {
+	var out []PredFacts
+	for _, f := range DBFacts(db) {
+		if n := len(out); n == 0 || out[n-1].Pred != f.Pred {
+			out = append(out, PredFacts{Pred: f.Pred})
+		}
+		pf := &out[len(out)-1]
+		// A 1-tuple and its scalar component are the same fact.
+		if key := f.Key(); len(pf.True) == 0 || pf.True[len(pf.True)-1] != key {
+			pf.True = append(pf.True, key)
+		}
+	}
+	return out
+}
+
 // snapshotInterp converts an interpretation into the Outcome's wire form:
-// per-predicate fact keys, every predicate of the program, sorted.
-func snapshotInterp(p *datalog.Program, in *semantics.Interp) DatalogModel {
+// per-predicate fact keys, every predicate of the program plus the unread
+// relations' facts, sorted by predicate.
+func snapshotInterp(p *datalog.Program, in *semantics.Interp, unread []PredFacts) DatalogModel {
 	var m DatalogModel
 	for _, pred := range p.Preds() {
+		for len(unread) > 0 && unread[0].Pred < pred {
+			m.Preds = append(m.Preds, unread[0])
+			unread = unread[1:]
+		}
 		pf := PredFacts{Pred: pred}
 		pf.True = append(pf.True, in.FactKeysWith(pred, semantics.True)...)
 		pf.Undef = append(pf.Undef, in.FactKeysWith(pred, semantics.Undef)...)
 		m.Preds = append(m.Preds, pf)
 	}
+	m.Preds = append(m.Preds, unread...)
 	return m
 }
 

@@ -10,10 +10,10 @@ import (
 // When all is false, names is the sorted, duplicate-free list of external
 // relation names the plan can touch; loading exactly those from a backing
 // store yields the same Outcome as loading the whole database. When all is
-// true the plan's evaluation depends on the entire database (names is nil):
-// datalog execution merges every database relation into the program's fact
-// base and renders every predicate of the merged program, so no sound subset
-// exists short of the full database.
+// true the plan's Outcome depends on the entire database (names is nil):
+// datalog execution grounds only the relations the program names, but it
+// renders every database relation's facts beside the program's predicates,
+// so no sound subset exists short of the full database.
 //
 // The serving layer uses this to materialize only the needed relations from
 // a disk-backed database before Execute.

@@ -5,6 +5,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/core"
+	"algrec/internal/datalog"
 	"algrec/internal/datalog/ground"
 	"algrec/internal/semantics"
 	"algrec/internal/value"
@@ -95,7 +96,10 @@ func WellFoundedSetsBudget(p *core.Program, db algebra.DB, gb ground.Budget) (lo
 
 // programToGround translates an algebra= program plus database to a ground
 // deductive program, also returning the inlined program (for the definition
-// list).
+// list). Only the relations the translated rules name become facts: no rule
+// reads the others, and no defined set's model depends on them. Their
+// elements still count against gb, one atom and one rule each, as if they
+// had been grounded.
 func programToGround(p *core.Program, db algebra.DB, gb ground.Budget) (*core.Program, *ground.Program, error) {
 	q, err := p.Inline()
 	if err != nil {
@@ -105,12 +109,41 @@ func programToGround(p *core.Program, db algebra.DB, gb ground.Budget) (*core.Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	prog.AddFacts(DBFacts(db)...)
-	g, err := ground.Ground(prog, gb)
+	named, unnamed := SplitDB(prog, db)
+	spent := 0
+	for _, s := range unnamed {
+		spent += s.Len()
+	}
+	prog.AddFacts(DBFacts(named)...)
+	rest, err := gb.Spend(spent)
 	if err != nil {
 		return nil, nil, err
 	}
+	g, err := ground.Ground(prog, rest)
+	if err != nil {
+		return nil, nil, ground.Refund(err, spent)
+	}
 	return q, g, nil
+}
+
+// SplitDB splits a database into the relations a deductive program names
+// as a predicate, in a rule head or body, and the rest. Grounding only the
+// named relations' facts gives every named predicate the same model: no
+// rule reads the rest.
+func SplitDB(p *datalog.Program, db algebra.DB) (named, rest algebra.DB) {
+	preds := map[string]bool{}
+	for _, pred := range p.Preds() {
+		preds[pred] = true
+	}
+	named, rest = algebra.DB{}, algebra.DB{}
+	for name, s := range db {
+		if preds[name] {
+			named[name] = s
+		} else {
+			rest[name] = s
+		}
+	}
+	return named, rest
 }
 
 func lessSetMap(a, b map[string]value.Set) bool {

@@ -1,10 +1,12 @@
 package translate
 
 import (
+	"errors"
 	"testing"
 
 	"algrec/internal/algebra"
 	"algrec/internal/core"
+	"algrec/internal/datalog/ground"
 	"algrec/internal/value"
 )
 
@@ -109,6 +111,98 @@ func TestStableSetsEveryModelExtendsValid(t *testing.T) {
 		}
 		if !m["win"].Subset(res.Upper["win"]) {
 			t.Errorf("stable model %v exceeds valid-possible %v", m["win"], res.Upper["win"])
+		}
+	}
+}
+
+// unnamedDB adds to db relations no win-game rule names: a pair relation
+// larger than the game and a scalar one.
+func unnamedDB(db algebra.DB) algebra.DB {
+	out := db.Clone()
+	out["edge"] = pairsOf([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "d"}, [2]string{"x", "y"})
+	out["node"] = value.NewSet(value.String("z"), value.Int(7))
+	return out
+}
+
+// TestOtherSemUnnamedRelations: the wellfounded and stable readings of an
+// algebra= program ground only the relations its translation names.
+// Relations it does not name leave every result unchanged, while a relation
+// sharing its name with a defined set is still loaded.
+func TestOtherSemUnnamedRelations(t *testing.T) {
+	db := algebra.DB{"move": pairsOf([2]string{"a", "b"}, [2]string{"b", "a"})}
+	lo, up, err := WellFoundedSets(winCore(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo2, up2, err := WellFoundedSets(winCore(), unnamedDB(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !value.Equal(lo["win"], lo2["win"]) || !value.Equal(up["win"], up2["win"]) {
+		t.Errorf("WFS with unnamed relations = [%v, %v], want [%v, %v]", lo2["win"], up2["win"], lo["win"], up["win"])
+	}
+	models, err := StableSets(winCore(), db, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models2, err := StableSets(winCore(), unnamedDB(db), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models) != 2 || len(models2) != len(models) {
+		t.Fatalf("stable readings: %d with unnamed relations, %d without; want 2", len(models2), len(models))
+	}
+	for i := range models {
+		if !value.Equal(models[i]["win"], models2[i]["win"]) {
+			t.Errorf("stable reading %d with unnamed relations = %v, want %v", i, models2[i]["win"], models[i]["win"])
+		}
+	}
+
+	// A database relation named like the defined set is a predicate of the
+	// translation: win(c) holds as a fact, so b loses and a wins.
+	named := algebra.DB{"move": pairsOf([2]string{"a", "b"}, [2]string{"b", "c"}), "win": value.NewSet(value.String("c"))}
+	lo, _, err = WellFoundedSets(winCore(), named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := value.NewSet(value.String("a"), value.String("c")); !value.Equal(lo["win"], want) {
+		t.Errorf("WFS with a relation named win = %v, want %v", lo["win"], want)
+	}
+}
+
+// TestOtherSemUnnamedBudgetParity: the elements of relations the translation
+// does not name still count against the grounding budget, one atom and one
+// rule each. With a cap one below the total of grounding every relation the
+// request fails with a BudgetError naming that cap; at the total it succeeds.
+func TestOtherSemUnnamedBudgetParity(t *testing.T) {
+	db := unnamedDB(algebra.DB{"move": pairsOf([2]string{"a", "b"}, [2]string{"b", "a"})})
+	prog, err := CoreToDatalog(winCore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.AddFacts(DBFacts(db)...)
+	g, err := ground.Ground(prog, ground.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wfs := func(gb ground.Budget) error { _, _, err := WellFoundedSetsBudget(winCore(), db, gb); return err }
+	stable := func(gb ground.Budget) error { _, err := StableSetsBudget(winCore(), db, 16, gb); return err }
+	for name, run := range map[string]func(ground.Budget) error{"wellfounded": wfs, "stable": stable} {
+		for _, cap := range []struct {
+			what string
+			set  func(n int) ground.Budget
+			n    int
+		}{
+			{"atoms", func(n int) ground.Budget { return ground.Budget{MaxAtoms: n} }, g.NumAtoms()},
+			{"rules", func(n int) ground.Budget { return ground.Budget{MaxRules: n} }, len(g.Rules)},
+		} {
+			var be *ground.BudgetError
+			if err := run(cap.set(cap.n - 1)); !errors.As(err, &be) || be.What != cap.what || be.Limit != cap.n-1 {
+				t.Errorf("%s: Max%s = %d: err = %v, want a %s BudgetError at %d", name, cap.what, cap.n-1, err, cap.what, cap.n-1)
+			}
+			if err := run(cap.set(cap.n)); err != nil {
+				t.Errorf("%s: Max%s = %d: %v", name, cap.what, cap.n, err)
+			}
 		}
 	}
 }

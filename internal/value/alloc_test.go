@@ -74,3 +74,26 @@ func TestSetBuilderAllocs(t *testing.T) {
 		t.Errorf("SetBuilder build of %d elements allocates %v, want <= 8", n, allocs)
 	}
 }
+
+// TestCompareNoAlloc is the allocation gate for the compares under every
+// Set.Has, SortFacts and NewSet: comparing two already-boxed values must not
+// allocate, for any kind. Ints above 255 and strings are the cases a boxed
+// receiver used to cost one allocation each, tuples three.
+func TestCompareNoAlloc(t *testing.T) {
+	pairs := []struct {
+		name string
+		a, b Value
+	}{
+		{"bool", True, False},
+		{"int", Int(100_000), Int(100_001)},
+		{"string", String("paris"), String("rome")},
+		{"tuple", NewTuple(Int(300), String("x")), NewTuple(Int(300), String("y"))},
+		{"set", NewSet(Int(1), String("a")), NewSet(Int(1), String("b"))},
+		{"mixed kinds", Int(1000), String("a")},
+	}
+	for _, p := range pairs {
+		if allocs := testing.AllocsPerRun(100, func() { _ = p.a.Compare(p.b) }); allocs != 0 {
+			t.Errorf("%s Compare allocates %v per call, want 0", p.name, allocs)
+		}
+	}
+}

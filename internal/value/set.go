@@ -229,6 +229,25 @@ func (s Set) Product(t Set) Set {
 	return setFromSorted(out)
 }
 
+// DiffProduct returns s − (a × b) without building the product: the
+// elements of s that are not a pair (x, y) with x ∈ a and y ∈ b. Elements
+// that are not pairs are never in a product, so they are kept. It is the
+// anti-join a negated atom translates to (diff(m, product(A, B))), at a
+// cost of two membership tests per element of s instead of |a|·|b| pairs.
+func (s Set) DiffProduct(a, b Set) Set {
+	if s.IsEmpty() || a.IsEmpty() || b.IsEmpty() {
+		return s
+	}
+	out := make([]Value, 0, len(s.elems))
+	for _, e := range s.elems {
+		if t, ok := e.(Tuple); ok && len(t.elems) == 2 && a.Has(t.elems[0]) && b.Has(t.elems[1]) {
+			continue
+		}
+		out = append(out, e)
+	}
+	return setFromSorted(out)
+}
+
 // Subset reports whether every element of s is in t.
 func (s Set) Subset(t Set) bool {
 	if len(s.elems) > len(t.elems) {
@@ -252,7 +271,7 @@ func (s Set) Subset(t Set) bool {
 
 // Compare implements Value.
 func (s Set) Compare(other Value) int {
-	if c := compareKinds(s, other); c != 0 {
+	if c := compareKind(KindSet, other); c != 0 {
 		return c
 	}
 	o := other.(Set)

@@ -142,3 +142,61 @@ func TestInsertPositions(t *testing.T) {
 		t.Errorf("EmptySet.Insert = %v", got)
 	}
 }
+
+// randMixedSet draws n elements over a small universe mixing scalars, pairs,
+// pairs of pairs and 3-tuples, so a subtracted product meets elements that
+// match it, elements of the right shape that do not, and non-pairs.
+func randMixedSet(r *rand.Rand, n int) Set {
+	scalar := func() Value {
+		if r.Intn(3) == 0 {
+			return String(string(rune('a' + r.Intn(4))))
+		}
+		return Int(int64(r.Intn(5)))
+	}
+	elems := make([]Value, n)
+	for i := range elems {
+		switch r.Intn(6) {
+		case 0:
+			elems[i] = scalar()
+		case 1:
+			elems[i] = NewTuple(scalar(), scalar(), scalar())
+		case 2:
+			elems[i] = Pair(Pair(scalar(), scalar()), scalar())
+		default:
+			elems[i] = Pair(scalar(), scalar())
+		}
+	}
+	return NewSet(elems...)
+}
+
+// TestPropertyDiffProduct: the anti-join equals subtracting the materialized
+// product, on random sets including non-pair elements, 3-tuples, nested
+// pairs and empty operands.
+func TestPropertyDiffProduct(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		sizes := []int{0, 1, 3, 10, 40}
+		s := randMixedSet(r, sizes[r.Intn(len(sizes))])
+		a := randMixedSet(r, sizes[r.Intn(len(sizes))])
+		b := randMixedSet(r, sizes[r.Intn(len(sizes))])
+		if r.Intn(2) == 0 {
+			// Draw the factors from s's own pair components, so most pairs of
+			// s are candidates for removal.
+			var xs, ys []Value
+			for _, e := range s.Elems() {
+				if p, ok := e.(Tuple); ok && p.Len() == 2 && r.Intn(3) > 0 {
+					xs, ys = append(xs, p.At(0)), append(ys, p.At(1))
+				}
+			}
+			a, b = NewSet(xs...), NewSet(ys...)
+		}
+		if got, want := s.DiffProduct(a, b), s.Diff(a.Product(b)); !Equal(got, want) {
+			t.Logf("seed %d: %v − %v × %v = %v, want %v", seed, s, a, b, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -197,7 +197,7 @@ func (t Tuple) Elems() []Value {
 
 // Compare implements Value.
 func (b Bool) Compare(other Value) int {
-	if c := compareKinds(b, other); c != 0 {
+	if c := compareKind(KindBool, other); c != 0 {
 		return c
 	}
 	o := other.(Bool)
@@ -213,7 +213,7 @@ func (b Bool) Compare(other Value) int {
 
 // Compare implements Value.
 func (i Int) Compare(other Value) int {
-	if c := compareKinds(i, other); c != 0 {
+	if c := compareKind(KindInt, other); c != 0 {
 		return c
 	}
 	o := other.(Int)
@@ -229,7 +229,7 @@ func (i Int) Compare(other Value) int {
 
 // Compare implements Value.
 func (s String) Compare(other Value) int {
-	if c := compareKinds(s, other); c != 0 {
+	if c := compareKind(KindString, other); c != 0 {
 		return c
 	}
 	return strings.Compare(string(s), string(other.(String)))
@@ -237,7 +237,7 @@ func (s String) Compare(other Value) int {
 
 // Compare implements Value.
 func (t Tuple) Compare(other Value) int {
-	if c := compareKinds(t, other); c != 0 {
+	if c := compareKind(KindTuple, other); c != 0 {
 		return c
 	}
 	o := other.(Tuple)
@@ -247,12 +247,16 @@ func (t Tuple) Compare(other Value) int {
 	return compareSlices(t.elems, o.elems)
 }
 
-func compareKinds(a, b Value) int {
-	ka, kb := a.Kind(), b.Kind()
+// compareKind orders a receiver of kind k against other by kind alone. It
+// takes the receiver's kind rather than the receiver itself: passing a
+// scalar or Tuple receiver as a Value would box it, one allocation per
+// compare under every Set.Has and sort.
+func compareKind(k Kind, other Value) int {
+	ko := other.Kind()
 	switch {
-	case ka < kb:
+	case k < ko:
 		return -1
-	case ka > kb:
+	case k > ko:
 		return 1
 	default:
 		return 0
