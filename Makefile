@@ -17,12 +17,13 @@ test:
 
 # test-server runs just the serving stack: the query compiler shared by the
 # CLIs and the daemon, the HTTP service (e2e matrix, singleflight, eviction,
-# cancellation, drain, fact mutations, subscription streams) and the
-# incremental maintenance engine behind the subscriptions, plus the three
+# cancellation, drain, fact mutations, subscription streams), the
+# incremental maintenance engine behind the subscriptions and the global
+# interner every concurrent request interns through, plus the three
 # front-ends' golden tests — under the race detector, twice, because the
 # subscription writer/maintainer handoff is where races would live.
 test-server:
-	go test -race -count=2 ./internal/query ./internal/server ./internal/storage ./internal/ivm ./cmd/algrecd ./cmd/algq ./cmd/dlog
+	go test -race -count=2 ./internal/query ./internal/server ./internal/storage ./internal/ivm ./internal/value/intern ./cmd/algrecd ./cmd/algq ./cmd/dlog
 
 # test-storage runs the pluggable-storage engine's own suite — the
 # backend-agnostic conformance tests against both backends, the disk

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Known-answer workloads shared by the end-to-end matrix: a small edge
@@ -414,6 +415,23 @@ func TestDBRegistryEndpoints(t *testing.T) {
 	}
 	if got := counters["server.compiles"].(float64); got != misses {
 		t.Fatalf("compiles = %v, want %v (one per miss in this test)", got, misses)
+	}
+
+	// The interner gauge grows when a query carries a value no earlier
+	// request held. The literal is unique per run: the process-global
+	// interner outlives a -count=2 rerun.
+	before := m["interner"].(map[string]any)
+	if before["bytes"].(float64) <= 0 {
+		t.Fatalf("interner bytes = %v, want > 0", before["bytes"])
+	}
+	fresh := fmt.Sprintf(`fresh(%d).`, time.Now().UnixNano())
+	if status, _, bad := postQuery(t, ts, queryRequest{Language: "datalog", Query: fresh}); status != http.StatusOK {
+		t.Fatalf("fresh-literal query = %d (%+v)", status, bad)
+	}
+	_, m = get(t, "/metrics")
+	after := m["interner"].(map[string]any)
+	if after["ids"].(float64) <= before["ids"].(float64) {
+		t.Fatalf("interner ids %v -> %v after a query with a fresh literal, want growth", before["ids"], after["ids"])
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"algrec/internal/datalog/ground"
 	"algrec/internal/obsv"
 	"algrec/internal/query"
+	"algrec/internal/value/intern"
 )
 
 // Config tunes a Server. The zero value gets sensible defaults: a 128-plan
@@ -599,8 +600,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{OK: status == http.StatusOK, Status: state})
 }
 
+// internerStats is the /metrics view of the process-global interner's health:
+// distinct values interned and its own accounted footprint in bytes.
+type internerStats struct {
+	IDs   int   `json:"ids"`
+	Bytes int64 `json:"bytes"`
+}
+
 // handleMetrics serves GET /metrics: the server's counter snapshot (see
-// obsv.Snapshot for the vocabulary) plus the plan cache's current size.
+// obsv.Snapshot for the vocabulary) plus the plan cache's current size and
+// the global interner's size.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ev := obsv.ServerStats{Route: "metrics"}
@@ -608,10 +617,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ev.WallNS = time.Since(start).Nanoseconds()
 		s.col.Server(ev)
 	}()
+	in := intern.Global()
 	writeJSON(w, http.StatusOK, struct {
 		OK         bool          `json:"ok"`
 		Counters   obsv.Snapshot `json:"counters"`
 		CachedPlan int           `json:"cachedPlans"`
 		ActiveSubs int64         `json:"activeSubscriptions"`
-	}{OK: true, Counters: s.stats.Snapshot(), CachedPlan: s.cache.len(), ActiveSubs: s.activeSubs.Load()})
+		Interner   internerStats `json:"interner"`
+	}{OK: true, Counters: s.stats.Snapshot(), CachedPlan: s.cache.len(), ActiveSubs: s.activeSubs.Load(),
+		Interner: internerStats{IDs: in.Len(), Bytes: in.Bytes()}})
 }
